@@ -65,7 +65,7 @@ import (
 // follows the usual compatibility contract: exported identifiers are
 // only added, never removed or re-typed, within a major version (the
 // API-lock test pins the surface).
-const Version = "v0.9.0"
+const Version = "v0.10.0"
 
 // The sequential-specification model (Sec. 2.1 of the paper): an ADT
 // is a deterministic transition system over immutable states, an

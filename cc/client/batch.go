@@ -1,14 +1,14 @@
 package client
 
 // The client-side batcher: asynchronous invocations queue per
-// session, coalesce into wire.BatchRequests (one group per session,
-// ops in submission order), and flush when maxOps are pending or
-// maxDelay has passed since the first — the same size+delay policy as
-// the server's own broadcast batching (core.Station). Up to
-// maxInflight batch RPCs pipeline concurrently; a session whose ops
-// are in flight contributes nothing to the next batch until they
-// resolve, so one session's ops never race each other across
-// requests while independent sessions pipeline freely.
+// session and coalesce into wire.BatchRequests (one group per session,
+// ops in submission order, at most maxOps per request) by group
+// commit, the server's own broadcast batching policy (core.Station):
+// an op is dispatched at once unless maxInflight batch RPCs are in
+// flight, and ops arriving meanwhile go out when one resolves. A
+// session whose ops are in flight contributes nothing to the next
+// batch until they resolve, so one session's ops never race each
+// other across requests while independent sessions pipeline freely.
 
 import (
 	"context"
@@ -58,7 +58,6 @@ type batcher struct {
 	tr          Transport
 	cli         *Client // self-healing hooks; nil-safe (plain batching)
 	maxOps      int
-	maxDelay    time.Duration
 	maxInflight int
 
 	mu       sync.Mutex
@@ -67,15 +66,13 @@ type batcher struct {
 	order    []int // sessions with queued ops, in arrival order
 	queued   int   // total queued ops across sessions
 	inflight int   // batch RPCs in flight
-	timer    *time.Timer
 	closed   bool
 }
 
-func newBatcher(tr Transport, maxOps int, maxDelay time.Duration, maxInflight int) *batcher {
+func newBatcher(tr Transport, maxOps, maxInflight int) *batcher {
 	b := &batcher{
 		tr:          tr,
 		maxOps:      maxOps,
-		maxDelay:    maxDelay,
 		maxInflight: maxInflight,
 		queues:      make(map[int]*sessQueue),
 	}
@@ -83,9 +80,7 @@ func newBatcher(tr Transport, maxOps int, maxDelay time.Duration, maxInflight in
 	return b
 }
 
-// enqueue appends one op to its session's queue and flushes when the
-// size threshold is reached (or arms the delay timer when the queue
-// just opened).
+// enqueue appends one op to its session's queue and flushes.
 func (b *batcher) enqueue(sess int, op batchOp) {
 	b.mu.Lock()
 	if b.closed {
@@ -103,23 +98,20 @@ func (b *batcher) enqueue(sess int, op batchOp) {
 	}
 	q.ops = append(q.ops, op)
 	b.queued++
-	if b.queued >= b.maxOps {
-		b.flushLocked()
-	} else if b.timer == nil {
-		b.timer = time.AfterFunc(b.maxDelay, b.timedFlush)
-	}
+	b.flushLocked()
 	b.mu.Unlock()
 }
 
-func (b *batcher) timedFlush() {
+// wakeUp dispatches ops whose session's retry backoff has run out.
+func (b *batcher) wakeUp() {
 	b.mu.Lock()
-	b.timer = nil
 	b.flushLocked()
 	b.mu.Unlock()
 }
 
 // flushLocked dispatches as many batches as the inflight budget
-// allows. Caller holds b.mu.
+// allows; what it leaves queued goes out when an RPC resolves or a
+// retry backoff runs out (wakeUp). Caller holds b.mu.
 func (b *batcher) flushLocked() {
 	for b.inflight < b.maxInflight {
 		req, futs, sessions := b.buildLocked()
@@ -128,15 +120,6 @@ func (b *batcher) flushLocked() {
 		}
 		b.inflight++
 		go b.send(req, futs, sessions)
-	}
-	switch {
-	case b.queued == 0 && b.timer != nil:
-		b.timer.Stop()
-		b.timer = nil
-	case b.queued > 0 && b.timer == nil:
-		// Ops remain (their sessions are in flight, or the inflight
-		// budget is spent); make sure a flush is scheduled for them.
-		b.timer = time.AfterFunc(b.maxDelay, b.timedFlush)
 	}
 }
 
@@ -340,7 +323,9 @@ func (b *batcher) send(req *wire.BatchRequest, sent [][]batchOp, sessions []int)
 			}
 			q.ops = append(requeue, q.ops...)
 			b.queued += len(requeue)
-			q.notBefore = now.Add(b.cli.backoff(requeue[0].attempt - 1))
+			backoff := b.cli.backoff(requeue[0].attempt - 1)
+			q.notBefore = now.Add(backoff)
+			time.AfterFunc(backoff, b.wakeUp)
 		case q != nil && len(q.ops) == 0:
 			// Idle session: drop its entry, or the map grows by one dead
 			// sessQueue per session id ever used (enqueue recreates it on
@@ -361,10 +346,6 @@ func (b *batcher) close() {
 	b.flushLocked()
 	for b.inflight > 0 || b.queued > 0 {
 		b.cond.Wait()
-	}
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
 	}
 	b.mu.Unlock()
 }

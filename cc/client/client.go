@@ -11,12 +11,12 @@
 // session-based causal model), which is exactly what the SDK's
 // batching exploits: with WithBatching, asynchronous invocations from
 // many sessions coalesce into pipelined POST /v1/batch round trips
-// (size + delay flush, mirroring the server's own broadcast
-// batching), while each session's ops stay ordered — a session never
-// has ops in two in-flight batches at once.
+// (group commit, mirroring the server's own broadcast batching),
+// while each session's ops stay ordered — a session never has ops in
+// two in-flight batches at once.
 //
 //	tr := client.NewHTTPTransport("http://127.0.0.1:8344")
-//	cli, err := client.New(tr, client.WithBatching(64, 500*time.Microsecond))
+//	cli, err := client.New(tr, client.WithBatching(64))
 //	sess := cli.Session(7)
 //	cnt, err := sess.Counter(ctx, "cart:1")
 //	fut := cnt.IncAsync(1)              // pipelined
@@ -47,8 +47,8 @@ var ErrClosed = errors.New("client: closed")
 
 // config collects the options New accepts.
 type config struct {
+	batching    bool
 	batchOps    int
-	batchDelay  time.Duration
 	maxInflight int
 	target      wire.ReadTarget
 	heal        healConfig
@@ -59,16 +59,16 @@ type config struct {
 // Option configures a Client.
 type Option func(*config)
 
-// WithBatching turns on client-side batching: asynchronous
-// invocations queue until maxOps are pending or maxDelay has passed
-// since the first, then flush as one POST /v1/batch. Up to
-// WithMaxInflight batches pipeline concurrently; a session's ops
-// never span two in-flight batches (program order). Without this
+// WithBatching turns on client-side batching by group commit: an
+// asynchronous invocation goes out at once as a POST /v1/batch unless
+// WithMaxInflight batches are in flight; ops arriving meanwhile leave
+// together, at most maxOps per batch, when one resolves. A session's
+// ops never span two in-flight batches (program order). Without this
 // option every invocation is its own round trip.
-func WithBatching(maxOps int, maxDelay time.Duration) Option {
+func WithBatching(maxOps int) Option {
 	return func(c *config) {
+		c.batching = true
 		c.batchOps = maxOps
-		c.batchDelay = maxDelay
 	}
 }
 
@@ -150,14 +150,11 @@ func New(tr Transport, opts ...Option) (*Client, error) {
 		sessHeal:  make(map[int]*healState),
 		breakers:  make(map[int]*breaker),
 	}
-	if cfg.batchOps != 0 || cfg.batchDelay != 0 {
+	if cfg.batching {
 		if cfg.batchOps < 1 {
 			return nil, fmt.Errorf("client: batch size must be at least 1, got %d", cfg.batchOps)
 		}
-		if cfg.batchDelay <= 0 {
-			cfg.batchDelay = 500 * time.Microsecond
-		}
-		c.batch = newBatcher(tr, cfg.batchOps, cfg.batchDelay, cfg.maxInflight)
+		c.batch = newBatcher(tr, cfg.batchOps, cfg.maxInflight)
 		c.batch.cli = c
 	}
 	return c, nil
@@ -345,8 +342,9 @@ func (s *Session) WithTarget(t wire.ReadTarget) *Session {
 // InvokeAsync followed by Get, so it takes its place in the session's
 // submission order behind any pending async ops. ctx bounds the wait,
 // not the operation (see Future.Get). With batching enabled the op
-// rides a batch (the delay flush bounds the wait); without, it is one
-// round trip behind the session's earlier async ops.
+// rides a batch, sent at once unless every inflight slot is busy;
+// without, it is one round trip behind the session's earlier async
+// ops.
 func (s *Session) Invoke(ctx context.Context, object string, in cc.Input) (cc.Output, error) {
 	return s.InvokeAsync(object, in).Get(ctx)
 }

@@ -113,7 +113,7 @@ func TestBatchMatchesPerOp(t *testing.T) {
 		c := newMonitoredCluster(t)
 		var opts []client.Option
 		if batched {
-			opts = append(opts, client.WithBatching(16, 200*time.Microsecond))
+			opts = append(opts, client.WithBatching(16))
 		}
 		cli, err := client.New(client.NewLoopback(c), opts...)
 		if err != nil {
@@ -170,7 +170,7 @@ func TestPipelinedSessionOrdering(t *testing.T) {
 	c := newMonitoredCluster(t)
 	defer c.Close()
 	cli, err := client.New(client.NewLoopback(c),
-		client.WithBatching(4, 100*time.Microsecond), client.WithMaxInflight(8))
+		client.WithBatching(4), client.WithMaxInflight(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPipelinedSessionOrdering(t *testing.T) {
 // verdict on the shared window must be satisfied.
 func TestSharedObjectReadYourWrites(t *testing.T) {
 	c := newMonitoredCluster(t)
-	cli, err := client.New(client.NewLoopback(c), client.WithBatching(32, 200*time.Microsecond))
+	cli, err := client.New(client.NewLoopback(c), client.WithBatching(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	defer srv.Close()
 	defer c.Close()
 
-	cli, err := client.New(client.NewHTTPTransport(srv.URL), client.WithBatching(8, 200*time.Microsecond))
+	cli, err := client.New(client.NewHTTPTransport(srv.URL), client.WithBatching(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,13 +414,13 @@ func TestClientValidationAndClose(t *testing.T) {
 	if _, err := client.New(client.NewLoopback(c), client.WithReadTarget("bogus")); err == nil {
 		t.Fatal("bogus read target accepted")
 	}
-	if _, err := client.New(client.NewLoopback(c), client.WithBatching(0, time.Millisecond)); err == nil {
+	if _, err := client.New(client.NewLoopback(c), client.WithBatching(0)); err == nil {
 		t.Fatal("zero batch size accepted")
 	}
 	if _, err := client.New(client.NewLoopback(c), client.WithMaxInflight(0)); err == nil {
 		t.Fatal("zero inflight accepted")
 	}
-	cli, err := client.New(client.NewLoopback(c), client.WithBatching(4, time.Millisecond))
+	cli, err := client.New(client.NewLoopback(c), client.WithBatching(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,7 +268,7 @@ func TestSelfHealingLoopback(t *testing.T) {
 				client.WithBreaker(4, 200*time.Millisecond),
 			}
 			if batched {
-				opts = append(opts, client.WithBatching(8, 200*time.Microsecond))
+				opts = append(opts, client.WithBatching(8))
 			}
 			cli, err := client.New(client.NewLoopback(c), opts...)
 			if err != nil {

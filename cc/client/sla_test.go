@@ -84,7 +84,7 @@ func TestSLAAdaptiveRoutingLoopback(t *testing.T) {
 			c := newSkewedCluster(t)
 			var opts []client.Option
 			if batched {
-				opts = append(opts, client.WithBatching(8, 200*time.Microsecond))
+				opts = append(opts, client.WithBatching(8))
 			}
 			const reads = 30
 			adaptive := runSLAPhase(t, c, nil, reads, opts...)

@@ -61,11 +61,10 @@ type Config struct {
 	// (default), "PC", "EC" or "CCv".
 	Criterion string
 	// BatchOps is the maximum number of updates per broadcast batch;
-	// default 32, 1 disables batching.
+	// default 32, 1 disables batching. Batches are group commits: an
+	// update is broadcast at once unless a flush is already in flight,
+	// in which case it rides the next batch.
 	BatchOps int
-	// BatchWait bounds how long an update waits for its batch to fill;
-	// default 200µs.
-	BatchWait time.Duration
 	// Replication selects the dissemination backend: "broadcast" (the
 	// default — reliable causal/FIFO/unordered broadcast, assumes
 	// eventually reliable links) or "antientropy" (gossip with
@@ -121,9 +120,6 @@ func (c *Config) fill() error {
 	c.Replication = repl.String()
 	if c.BatchOps == 0 {
 		c.BatchOps = 32
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 200 * time.Microsecond
 	}
 	if c.VirtualNodes <= 0 {
 		c.VirtualNodes = 64
@@ -263,7 +259,6 @@ func (c *Cluster) newShard(idx int) *shard {
 		sh.stations = append(sh.stations, core.NewStation(sh.net, r, c.mode,
 			core.StationConfig{
 				BatchOps:       c.cfg.BatchOps,
-				BatchWait:      c.cfg.BatchWait,
 				Replication:    c.repl,
 				GossipInterval: c.cfg.GossipInterval,
 				Retain:         c.cfg.Resync,

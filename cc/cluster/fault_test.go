@@ -177,6 +177,10 @@ func TestConvergenceAfterPartitionProperty(t *testing.T) {
 // buffer, and the monitor counts every silent drop instead of
 // blocking the checker pipeline. A sampled object yields exactly one
 // window, so overflowing the ~256-verdict buffer takes many objects.
+// Updates complete in microseconds, far faster than windows are
+// checked, so the loop paces itself to keep the checker's input
+// queue from overflowing: a window dropped there never becomes a
+// verdict to overflow the stream with.
 func TestMonitorStreamDropped(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		Criterion: "EC",
@@ -197,6 +201,9 @@ func TestMonitorStreamDropped(t *testing.T) {
 	s := c.Session(0)
 	const objects = 400
 	for i := 0; i < objects; i++ {
+		for sum := c.Monitor().Summary(); i-sum.Verdicts-sum.WindowsDropped >= 16; sum = c.Monitor().Summary() {
+			time.Sleep(time.Millisecond)
+		}
 		name := fmt.Sprintf("ctr-%d", i)
 		if err := c.CreateObject(name, "Counter"); err != nil {
 			t.Fatal(err)

@@ -291,7 +291,7 @@ func main() {
 		)
 	}
 	if *batch {
-		opts = append(opts, client.WithBatching(64, 300*time.Microsecond))
+		opts = append(opts, client.WithBatching(64))
 	}
 	cli, err := client.New(client.NewLoopback(c), opts...)
 	if err != nil {

@@ -7,7 +7,7 @@
 //
 //	ccload -addr http://127.0.0.1:8344 -clients 8 -duration 5s \
 //	       -objects 16 -adt mixed -write-ratio 0.3 -skew 1.1 \
-//	       [-batch] [-pipeline 32] [-batch-ops 64] [-batch-wait 500us] \
+//	       [-batch] [-pipeline 32] [-batch-ops 64] \
 //	       [-read-target affinity|any] [-read-target-mix "affinity=0.8,any=0.2"] \
 //	       [-scenario read-heavy [-rate 500] [-arrival poisson|fixed] [-ramp ...]] \
 //	       [-sla] [-sla-spec "rmw@5ms=1,..."] [-sla-slow 20ms] [-sla-partition 0] \
@@ -18,8 +18,8 @@
 //   - The default is the classic closed loop over an ad-hoc population:
 //     N client goroutines (one session each) drive -objects objects of
 //     -adt with a -write-ratio mix and optional Zipf-skewed popularity.
-//     -batch turns on client-side batching (the SDK coalesces async
-//     invocations into POST /v1/batch); -read-target any issues
+//     -batch turns on client-side batching (the SDK group-commits
+//     async invocations into POST /v1/batch); -read-target any issues
 //     Pileus-style weak reads; -read-target-mix draws the target per
 //     operation.
 //
@@ -143,8 +143,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	batch := flag.Bool("batch", false, "client-side batching over POST /v1/batch")
 	pipeline := flag.Int("pipeline", 32, "async invocations in flight per client (with -batch)")
-	batchOps := flag.Int("batch-ops", 64, "client batch flush size (with -batch)")
-	batchWait := flag.Duration("batch-wait", 500*time.Microsecond, "client batch flush delay (with -batch)")
+	batchOps := flag.Int("batch-ops", 64, "max ops per client batch (with -batch)")
 	readTarget := flag.String("read-target", "affinity", "per-request read target: affinity or any")
 	readTargetMix := flag.String("read-target-mix", "", `per-op probabilistic read target, e.g. "affinity=0.8,any=0.2"`)
 	scenario := flag.String("scenario", "", "named cc/bench workload scenario (see -list-scenarios)")
@@ -244,7 +243,7 @@ func main() {
 		os.Exit(runScenario(scenarioCfg{
 			addr: *addr, scenario: *scenario, workers: *clients, objects: *objects,
 			duration: *duration, seed: *seed, rate: *rate, arrival: arr,
-			batch: *batch, batchOps: *batchOps, batchWait: *batchWait,
+			batch: *batch, batchOps: *batchOps,
 			ramp: *rampFlag, rampStart: *rampStart, rampFactor: *rampFactor,
 			rampSteps: *rampSteps, rampStepDur: *rampStepDur,
 			kneeFloor: *kneeFloor, kneeP99: *kneeP99, requireKnee: *requireKnee,
@@ -270,7 +269,7 @@ func main() {
 		os.Exit(runSLA(slaCfg{
 			addr: *addr, clients: *clients, duration: *duration, targets: targets,
 			seed: *seed, batch: *batch, pipeline: *pipeline, batchOps: *batchOps,
-			batchWait: *batchWait, spec: spec, specText: *slaSpec, slow: *slaSlow,
+			spec: spec, specText: *slaSpec, slow: *slaSlow,
 			partition: *slaPartition, benchOut: *benchOut, label: *label,
 			require: *requireVerdicts, skew: *skew,
 		}))
@@ -278,7 +277,7 @@ func main() {
 
 	var opts []client.Option
 	if *batch {
-		opts = append(opts, client.WithBatching(*batchOps, *batchWait))
+		opts = append(opts, client.WithBatching(*batchOps))
 	}
 	opts = append(opts, client.WithReadTarget(tgt))
 	cli, err := client.New(client.NewHTTPTransport(*addr), opts...)
@@ -414,7 +413,7 @@ func main() {
 
 	mode := "perop"
 	if *batch {
-		mode = fmt.Sprintf("batch(ops=%d,wait=%v,pipeline=%d)", *batchOps, *batchWait, *pipeline)
+		mode = fmt.Sprintf("batch(ops=%d,pipeline=%d)", *batchOps, *pipeline)
 	}
 	fmt.Printf("ccload: %d ops in %v (%.0f ops/s), %d errors, mode %s\n",
 		total, elapsed.Round(time.Millisecond), opsPerSec, errs.Load(), mode)

@@ -22,17 +22,16 @@ import (
 
 // scenarioCfg carries the scenario mode's knobs from main's flags.
 type scenarioCfg struct {
-	addr      string
-	scenario  string
-	workers   int
-	objects   int
-	duration  time.Duration
-	seed      int64
-	rate      float64
-	arrival   bench.Arrival
-	batch     bool
-	batchOps  int
-	batchWait time.Duration
+	addr     string
+	scenario string
+	workers  int
+	objects  int
+	duration time.Duration
+	seed     int64
+	rate     float64
+	arrival  bench.Arrival
+	batch    bool
+	batchOps int
 
 	ramp        bool
 	rampStart   float64
@@ -53,7 +52,7 @@ func runScenario(cfg scenarioCfg) int {
 	ctx := context.Background()
 	var opts []client.Option
 	if cfg.batch {
-		opts = append(opts, client.WithBatching(cfg.batchOps, cfg.batchWait))
+		opts = append(opts, client.WithBatching(cfg.batchOps))
 	}
 	cli, err := client.New(client.NewHTTPTransport(cfg.addr), opts...)
 	if err != nil {

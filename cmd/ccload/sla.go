@@ -38,7 +38,6 @@ type slaCfg struct {
 	batch     bool
 	pipeline  int
 	batchOps  int
-	batchWait time.Duration
 	spec      sla.SLA
 	specText  string
 	slow      time.Duration // delay injected on replicas 1..n-1
@@ -202,7 +201,7 @@ func runSLAPhase(ctx context.Context, cfg slaCfg, ph slaPhase, replicas int) (sl
 		opts = append(opts, client.WithSLARouter(ph.router))
 	}
 	if cfg.batch {
-		opts = append(opts, client.WithBatching(cfg.batchOps, cfg.batchWait))
+		opts = append(opts, client.WithBatching(cfg.batchOps))
 	}
 	cli, err := client.New(client.NewHTTPTransport(cfg.addr), opts...)
 	if err != nil {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ccserved -addr :8344 -criterion CCv -shards 4 -replicas 3 \
-//	         -batch-ops 32 -batch-wait 200us \
+//	         -batch-ops 32 \
 //	         -monitor-sample 4 -window-ops 40 -monitor-timeout 2s
 //
 // The server speaks the versioned cc/cluster/wire protocol (see
@@ -20,6 +20,9 @@
 // poll), GET /v1/healthz (reports the protocol version and topology),
 // GET /v1/readyz (503 while draining, also reports replication lag).
 // Drive it with the cc/client SDK or cmd/ccload.
+// Updates leave by group commit: one is broadcast at once unless a
+// flush is in flight, and those arriving meanwhile share the next
+// broadcast, up to -batch-ops each.
 // -replication selects the backend: "broadcast" (the default causal
 // broadcast stack) or "antientropy" (periodic gossip rounds,
 // -gossip-interval). On SIGINT/SIGTERM the server flips /v1/readyz
@@ -49,8 +52,7 @@ func main() {
 	criterion := flag.String("criterion", "CC", "consistency criterion: CC, PC, EC, CCv")
 	shards := flag.Int("shards", 4, "number of replica groups objects are hashed across")
 	replicas := flag.Int("replicas", 3, "replicas per shard")
-	batchOps := flag.Int("batch-ops", 32, "max updates per broadcast batch (1 disables batching)")
-	batchWait := flag.Duration("batch-wait", 200*time.Microsecond, "max time an update waits for its batch")
+	batchOps := flag.Int("batch-ops", 32, "max updates per group-commit broadcast batch (1 disables batching)")
 	monSample := flag.Int("monitor-sample", 4, "monitor samples 1 in N objects (0 disables the monitor)")
 	monWindow := flag.Int("window-ops", cluster.DefaultWindowOps, "operations per sampled monitor window")
 	flag.IntVar(monWindow, "monitor-window", cluster.DefaultWindowOps, "alias of -window-ops (kept for older harnesses)")
@@ -72,7 +74,6 @@ func main() {
 		Replicas:       *replicas,
 		Criterion:      *criterion,
 		BatchOps:       *batchOps,
-		BatchWait:      *batchWait,
 		Replication:    *replication,
 		GossipInterval: *gossipInterval,
 		Resync:         *resync,

@@ -35,7 +35,7 @@ func main() {
 	// The SDK: batching coalesces async invocations from all sessions
 	// into pipelined POST /v1/batch round trips.
 	cli, err := client.New(client.NewHTTPTransport(srv.URL),
-		client.WithBatching(32, 500*time.Microsecond))
+		client.WithBatching(32))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -175,8 +175,17 @@ func (c *relCore) resync() {
 
 // broadcast stamps, floods and locally delivers a new envelope.
 func (c *relCore) broadcast(vc vclock.VC, payload any) {
+	c.broadcastStamped(func(int) (vclock.VC, any) { return vc, payload })
+}
+
+// broadcastStamped is broadcast with the stamp and payload built by mk
+// from the sequence number, inside the sequence critical section, so
+// overlapping broadcasts leave in stamp order. Lock order: relCore.mu,
+// then the layer's lock that mk may take.
+func (c *relCore) broadcastStamped(mk func(seq int) (vclock.VC, any)) {
 	c.mu.Lock()
 	c.seq++
+	vc, payload := mk(c.seq)
 	env := envelope{ID: msgID{Origin: c.id, Seq: c.seq}, VC: vc, Payload: payload}
 	c.seen[env.ID] = true
 	if c.retain {
@@ -280,8 +289,9 @@ func (f *FIFO) onEnv(env envelope) {
 			break
 		}
 	}
+	f.out.enqueue(ready)
 	f.mu.Unlock()
-	f.out.dispatch(ready)
+	f.out.drain()
 }
 
 // Causal is reliable causal-order broadcast: a message is delivered
@@ -312,12 +322,15 @@ func NewCausalVC(t net.Transport, id int, d DeliverVC) *Causal {
 
 // Broadcast implements Broadcaster. The message carries the vector
 // clock it must be delivered at: the broadcaster's delivered-count
-// vector with its own entry incremented.
+// vector with its own entry set to the message's sequence number.
 func (c *Causal) Broadcast(payload any) {
-	c.mu.Lock()
-	stamp := c.vc.Clone().Incr(c.id)
-	c.mu.Unlock()
-	c.core.broadcast(stamp, payload)
+	c.core.broadcastStamped(func(seq int) (vclock.VC, any) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		stamp := c.vc.Clone()
+		stamp[c.id] = seq
+		return stamp, payload
+	})
 }
 
 func (c *Causal) onEnv(env envelope) {
@@ -340,8 +353,9 @@ func (c *Causal) onEnv(env envelope) {
 			break
 		}
 	}
+	c.out.enqueue(ready)
 	c.mu.Unlock()
-	c.out.dispatch(ready)
+	c.out.drain()
 }
 
 // VC returns a snapshot of the layer's delivered-count vector, used by

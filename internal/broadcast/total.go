@@ -62,16 +62,22 @@ func NewTotal(t net.Transport, id int, d Deliver) *Total {
 // delivery (including local delivery) happens once every process has
 // acknowledged, so unlike the other layers local delivery is deferred.
 func (tot *Total) Broadcast(payload any) {
-	tot.mu.Lock()
-	ts := vclock.Timestamp{VT: tot.clock.Tick(), PID: tot.id}
-	tot.mu.Unlock()
-	tot.fifo.Broadcast(totMsg{TS: ts, Payload: payload})
+	tot.send(false, payload)
+}
+
+// send broadcasts a message or an ack under a fresh Lamport stamp,
+// taken in the FIFO sequence critical section: channel order is then
+// stamp order, which drainLocked's stability test assumes.
+func (tot *Total) send(ack bool, payload any) {
+	tot.fifo.core.broadcastStamped(func(int) (vclock.VC, any) {
+		tot.mu.Lock()
+		defer tot.mu.Unlock()
+		return nil, totMsg{TS: vclock.Timestamp{VT: tot.clock.Tick(), PID: tot.id}, Ack: ack, Payload: payload}
+	})
 }
 
 func (tot *Total) onDeliver(origin int, payload any) {
 	m := payload.(totMsg)
-	var ready []totPending
-	var ack *totMsg
 	tot.mu.Lock()
 	tot.clock.Witness(m.TS.VT)
 	if tot.lastSeen[origin].Less(m.TS) {
@@ -80,14 +86,11 @@ func (tot *Total) onDeliver(origin int, payload any) {
 	if !m.Ack {
 		tot.pending = append(tot.pending, totPending{ts: m.TS, origin: origin, payload: m.Payload})
 		sort.Slice(tot.pending, func(i, j int) bool { return tot.pending[i].ts.Less(tot.pending[j].ts) })
-		if origin != tot.id {
-			ack = &totMsg{TS: vclock.Timestamp{VT: tot.clock.Tick(), PID: tot.id}, Ack: true}
-		}
 	}
-	ready = tot.drainLocked()
+	ready := tot.drainLocked()
 	tot.mu.Unlock()
-	if ack != nil {
-		tot.fifo.Broadcast(*ack)
+	if !m.Ack && origin != tot.id {
+		tot.send(true, nil)
 	}
 	for _, p := range ready {
 		tot.deliver(p.origin, p.payload)

@@ -84,12 +84,9 @@ func ParseReplication(s string) (Replication, error) {
 type StationConfig struct {
 	// BatchOps is the maximum number of updates carried by one
 	// broadcast message; <= 1 disables batching (every update is its
-	// own broadcast).
+	// own broadcast). Batches form by group commit: updates that
+	// arrive while a flush is in flight share the next broadcast.
 	BatchOps int
-	// BatchWait bounds how long an enqueued update may wait for the
-	// batch to fill before it is flushed anyway. Ignored when batching
-	// is disabled; 0 defaults to 200µs.
-	BatchWait time.Duration
 	// Replication selects the dissemination backend (default
 	// ReplBroadcast).
 	Replication Replication
@@ -199,10 +196,9 @@ type Station struct {
 	batchMu  sync.Mutex
 	pending  []wireOp
 	nextID   uint64
-	timer    *time.Timer
+	flushing bool // a group-commit flusher owns pending (see enqueue)
 	closed   bool
 	batchOps int
-	wait     time.Duration
 
 	// flushMu serializes take+broadcast, so batches leave in the order
 	// their timestamps were assigned (EC) and a quiescence check can
@@ -221,11 +217,7 @@ func NewStation(tr net.Transport, id int, mode Mode, cfg StationConfig) *Station
 		delivB:   make([]int64, tr.N()),
 		hw:       make([]int64, tr.N()),
 		lastVT:   make([]int, tr.N()),
-		batchOps: cfg.BatchOps,
-		wait:     cfg.BatchWait,
-	}
-	if s.wait <= 0 {
-		s.wait = 200 * time.Microsecond
+		batchOps: max(cfg.BatchOps, 1),
 	}
 	// High-water marks start at the group's birth: "everything up to
 	// now" is vacuously delivered from every origin (the group starts
@@ -463,10 +455,9 @@ func (s *Station) Stats() StationStats {
 }
 
 // Invoke executes one operation on the named object. Queries read the
-// local state; updates are enqueued on the current batch, broadcast,
-// and complete when the local delivery applies them (never waiting for
-// remote progress — wait-freedom is preserved, batching only delays
-// the local flush by at most BatchWait).
+// local state; updates are broadcast and complete when the local
+// delivery applies them, never waiting for remote progress or for a
+// batch to fill (wait-freedom).
 func (s *Station) Invoke(obj string, in spec.Input) (spec.Output, error) {
 	wait, err := s.InvokeAsync(obj, in)
 	if err != nil {
@@ -513,9 +504,12 @@ func (s *Station) InvokeAsync(obj string, in spec.Input) (func() spec.Output, er
 	return func() spec.Output { return s.await(id) }, nil
 }
 
-// enqueue adds an update to the pending batch, flushing when full (or
-// scheduling a timed flush when the batch just opened), and returns
-// the op id to await.
+// enqueue adds an update to the pending batch and returns the op id
+// to await. Group commit: a caller that finds no flush in flight
+// broadcasts at once; callers arriving meanwhile just append and ride
+// the next batch. The flusher sends only the batch holding its own
+// update and hands the rest to a goroutine, so traffic queued behind
+// an invoker never holds it back.
 func (s *Station) enqueue(op wireOp) (uint64, error) {
 	s.batchMu.Lock()
 	if s.closed {
@@ -525,41 +519,58 @@ func (s *Station) enqueue(op wireOp) (uint64, error) {
 	s.nextID++
 	op.ID = s.nextID
 	s.pending = append(s.pending, op)
-	switch {
-	case s.batchOps <= 1 || len(s.pending) >= s.batchOps:
+	if s.flushing {
 		s.batchMu.Unlock()
-		s.Flush()
-	case len(s.pending) == 1:
-		s.timer = time.AfterFunc(s.wait, s.Flush)
-		s.batchMu.Unlock()
-	default:
-		s.batchMu.Unlock()
+		return op.ID, nil
 	}
+	s.flushing = true
+	s.batchMu.Unlock()
+
+	s.flushMu.Lock()
+	s.broadcast(s.take(false))
+	s.flushMu.Unlock()
+	s.batchMu.Lock()
+	if len(s.pending) == 0 {
+		s.flushing = false
+	} else {
+		go s.drain(true)
+	}
+	s.batchMu.Unlock()
 	return op.ID, nil
 }
 
-// takeLocked claims the pending batch and cancels its flush timer.
-func (s *Station) takeLocked() []wireOp {
-	ops := s.pending
-	s.pending = nil
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
+// take claims the oldest pending updates, at most batchOps of them.
+// When none are left and release is set, the caller gives up the
+// group-commit flusher role in the same critical section, so no
+// update is ever stranded in pending with no flush to carry it.
+func (s *Station) take(release bool) []wireOp {
+	s.batchMu.Lock()
+	defer s.batchMu.Unlock()
+	n := min(len(s.pending), s.batchOps)
+	if n == 0 && release {
+		s.flushing = false
+	}
+	ops := s.pending[:n:n]
+	if s.pending = s.pending[n:]; len(s.pending) == 0 {
+		s.pending = nil
 	}
 	return ops
 }
 
-// Flush broadcasts the pending batch, if any. It runs when a batch
-// fills, on the batch timer, and at Close; callers never need it for
-// correctness.
-func (s *Station) Flush() {
+// drain broadcasts pending batch by batch until it is empty; release
+// marks the group-commit flusher.
+func (s *Station) drain(release bool) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	s.batchMu.Lock()
-	ops := s.takeLocked()
-	s.batchMu.Unlock()
-	s.broadcast(ops)
+	for ops := s.take(release); len(ops) > 0; ops = s.take(release) {
+		s.broadcast(ops)
+	}
 }
+
+// Flush broadcasts every update enqueued before the call, even if a
+// group-commit flush is in flight. Migration quiescence and fault
+// repair rely on it; invokers never need it.
+func (s *Station) Flush() { s.drain(false) }
 
 // broadcast stamps (EC) and disseminates one batch. Local delivery —
 // synchronous inside Broadcast or handed to a concurrent delivery
@@ -796,7 +807,7 @@ func (s *Station) Compact() int {
 	return total
 }
 
-// Close flushes the pending batch and stops accepting updates. Safe to
+// Close flushes pending updates and stops accepting new ones. Safe to
 // call before or after the transport's own Close; either way every
 // in-flight invoker is released (local delivery does not need the
 // network).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func TestStationConvergence(t *testing.T) {
 	}
 	for _, mode := range []Mode{ModeCC, ModePC, ModeEC, ModeCCv} {
 		t.Run(mode.String(), func(t *testing.T) {
-			lv, sts := newStationGroup(t, 3, mode, StationConfig{BatchOps: 4, BatchWait: 50 * time.Microsecond})
+			lv, sts := newStationGroup(t, 3, mode, StationConfig{BatchOps: 4})
 			defer lv.Close()
 			for name, adtName := range objects {
 				ensureAll(t, sts, name, adtName)
@@ -126,42 +127,74 @@ func TestStationConvergence(t *testing.T) {
 	}
 }
 
-// TestStationBatchingAmortizes pins that the batch path actually
-// amortizes broadcasts: with many concurrent sessions and a roomy
-// batch, broadcasts sent is well below updates sent.
+// TestStationBatchingAmortizes pins that group commit amortizes
+// broadcasts: updates that arrive while a flush is in flight share
+// batches. The test holds the flush lock until all of them are
+// pending, so the outcome does not depend on scheduling.
 func TestStationBatchingAmortizes(t *testing.T) {
-	lv, sts := newStationGroup(t, 2, ModeCC, StationConfig{BatchOps: 16, BatchWait: 2 * time.Millisecond})
+	const batchOps, sessions = 16, 40
+	lv, sts := newStationGroup(t, 2, ModeCC, StationConfig{BatchOps: batchOps})
 	defer lv.Close()
 	ensureAll(t, sts, "o", "Counter")
+	st := sts[0]
+	st.flushMu.Lock()
 	var wg sync.WaitGroup
-	const sessions, each = 8, 50
 	for g := 0; g < sessions; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if _, err := sts[0].Invoke("o", spec.NewInput("inc", 1)); err != nil {
-					t.Error(err)
-					return
-				}
+			if _, err := st.Invoke("o", spec.NewInput("inc", 1)); err != nil {
+				t.Error(err)
 			}
 		}()
 	}
+	for {
+		st.batchMu.Lock()
+		n := len(st.pending)
+		st.batchMu.Unlock()
+		if n == sessions {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st.flushMu.Unlock()
 	wg.Wait()
 	settleGroup(lv, sts)
-	st := sts[0].Stats()
-	if st.BatchedOps != sessions*each {
-		t.Fatalf("BatchedOps = %d, want %d", st.BatchedOps, sessions*each)
+	stats := st.Stats()
+	if stats.BatchedOps != sessions {
+		t.Fatalf("BatchedOps = %d, want %d", stats.BatchedOps, sessions)
 	}
-	if st.Broadcasts >= st.BatchedOps {
-		t.Fatalf("no batching: %d broadcasts for %d updates", st.Broadcasts, st.BatchedOps)
+	if want := int64((sessions + batchOps - 1) / batchOps); stats.Broadcasts > want {
+		t.Fatalf("%d broadcasts for %d updates, want at most %d", stats.Broadcasts, sessions, want)
 	}
-	out, err := sts[0].Invoke("o", spec.NewInput("get"))
+	out, err := st.Invoke("o", spec.NewInput("get"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := spec.IntOutput(sessions * each); !out.Equal(want) {
+	if want := spec.IntOutput(sessions); !out.Equal(want) {
 		t.Fatalf("get = %v, want %v", out, want)
+	}
+}
+
+// TestStationLoneUpdateNotDelayed pins that batching adds no wait of
+// its own: with no flush in flight, an update is broadcast and
+// applied locally before InvokeAsync returns, in every mode.
+func TestStationLoneUpdateNotDelayed(t *testing.T) {
+	for _, mode := range []Mode{ModeCC, ModePC, ModeEC, ModeCCv} {
+		t.Run(mode.String(), func(t *testing.T) {
+			lv, sts := newStationGroup(t, 3, mode, StationConfig{BatchOps: 32})
+			defer lv.Close()
+			ensureAll(t, sts, "c", "Counter")
+			before := sts[0].Stats().Applied
+			wait, err := sts[0].InvokeAsync("c", spec.NewInput("inc", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sts[0].Stats().Applied; got != before+1 {
+				t.Fatalf("Applied = %d when InvokeAsync returned, want %d", got, before+1)
+			}
+			wait()
+		})
 	}
 }
 
@@ -169,7 +202,7 @@ func TestStationBatchingAmortizes(t *testing.T) {
 // concurrency: every push output is ⊥, every pop obtains a distinct
 // value or ⊥, and the multiset of popped values is a subset of pushes.
 func TestStationUpdateOutputs(t *testing.T) {
-	lv, sts := newStationGroup(t, 2, ModeCCv, StationConfig{BatchOps: 4, BatchWait: 100 * time.Microsecond})
+	lv, sts := newStationGroup(t, 2, ModeCCv, StationConfig{BatchOps: 4})
 	defer lv.Close()
 	ensureAll(t, sts, "q", "Queue")
 	var mu sync.Mutex
@@ -251,10 +284,10 @@ func TestStationCompact(t *testing.T) {
 	}
 }
 
-// TestStationClose: Close flushes the pending batch (releasing
-// waiters), further updates fail, queries still serve.
+// TestStationClose: an update racing Close either completes or fails
+// with ErrClosed, later updates fail, queries still serve.
 func TestStationClose(t *testing.T) {
-	lv, sts := newStationGroup(t, 2, ModeCC, StationConfig{BatchOps: 1 << 20, BatchWait: time.Hour})
+	lv, sts := newStationGroup(t, 2, ModeCC, StationConfig{BatchOps: 32})
 	defer lv.Close()
 	ensureAll(t, sts, "r", "Register")
 	done := make(chan error, 1)
@@ -262,32 +295,18 @@ func TestStationClose(t *testing.T) {
 		_, err := sts[0].Invoke("r", spec.NewInput("w", 7))
 		done <- err
 	}()
-	// The update is parked on a batch that will never fill; Close must
-	// release it.
-	deadline := time.After(5 * time.Second)
-	for {
-		sts[0].batchMu.Lock()
-		n := len(sts[0].pending)
-		sts[0].batchMu.Unlock()
-		if n == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("update never reached the pending batch")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
 	sts[0].Close()
-	if err := <-done; err != nil {
-		t.Fatalf("parked update failed at Close: %v", err)
+	want := spec.IntOutput(7)
+	if err := <-done; errors.Is(err, ErrClosed) {
+		want = spec.IntOutput(0)
+	} else if err != nil {
+		t.Fatalf("update racing Close: %v", err)
 	}
-	if _, err := sts[0].Invoke("r", spec.NewInput("w", 8)); err == nil {
-		t.Fatal("update accepted after Close")
+	if _, err := sts[0].Invoke("r", spec.NewInput("w", 8)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("update after Close: err=%v, want ErrClosed", err)
 	}
-	if out, err := sts[0].Invoke("r", spec.NewInput("r")); err != nil || !out.Equal(spec.IntOutput(7)) {
-		t.Fatalf("query after Close: out=%v err=%v", out, err)
+	if out, err := sts[0].Invoke("r", spec.NewInput("r")); err != nil || !out.Equal(want) {
+		t.Fatalf("query after Close: out=%v err=%v, want %v", out, err, want)
 	}
 }
 
@@ -331,7 +350,7 @@ func TestStationManyObjectsManySessions(t *testing.T) {
 	// Timestamp modes only: they are the ones that promise convergence
 	// for the non-commutative types in the mix (Register, Stack).
 	for _, mode := range []Mode{ModeEC, ModeCCv} {
-		lv, sts := newStationGroup(t, 3, mode, StationConfig{BatchOps: 8, BatchWait: 100 * time.Microsecond})
+		lv, sts := newStationGroup(t, 3, mode, StationConfig{BatchOps: 8})
 		adts := []string{"Counter", "GSet", "Register", "RWSet", "Stack"}
 		var names []string
 		for i := 0; i < 10; i++ {

@@ -16,9 +16,9 @@ type tsEntry[TS any] struct {
 // (EC, CCv), shared by Replica and Station objects: updates are
 // inserted at their timestamp position and reads fold base+log through
 // a replay cache. The cache discipline: cacheState is the fold of base
-// plus log[:cacheLen]; an insertion below cacheLen invalidates it, a
-// full replay re-arms it. The caller provides the strict total order
-// on timestamps.
+// plus log[:cacheLen]; an insertion below cacheLen invalidates it, and
+// every replay of a prefix at least cacheLen long advances it to that
+// prefix. The caller provides the strict total order on timestamps.
 type tsLog[TS any] struct {
 	t    spec.ADT
 	less func(a, b TS) bool
@@ -56,9 +56,7 @@ func (l *tsLog[TS]) replay(n int) spec.State {
 		for i := l.cacheLen; i < n; i++ {
 			q, _ = l.t.Step(q, l.log[i].in)
 		}
-		if n == len(l.log) {
-			l.cacheState, l.cacheLen = q, n
-		}
+		l.cacheState, l.cacheLen = q, n
 		return q
 	}
 	q := l.base
